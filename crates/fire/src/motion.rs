@@ -95,8 +95,9 @@ impl MotionCorrector {
 
     fn residuals(&self, moved: &Volume, t: &RigidTransform, out: &mut [f64]) {
         let centre = self.reference.dims.centre();
+        let r = t.rotation_matrix();
         for (k, &(x, y, z)) in self.sample_points.iter().enumerate() {
-            let (sx, sy, sz) = t.apply_point((x, y, z), centre);
+            let (sx, sy, sz) = t.apply_point_with(&r, (x, y, z), centre);
             out[k] = (moved.sample(sx, sy, sz) - self.ref_values[k]) as f64;
         }
     }

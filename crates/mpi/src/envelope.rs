@@ -70,13 +70,19 @@ impl Envelope {
     }
 }
 
-/// Encode a `f64` slice to little-endian bytes.
-pub fn encode_f64s(v: &[f64]) -> Bytes {
-    let mut out = Vec::with_capacity(v.len() * 8);
-    for x in v {
-        out.extend_from_slice(&x.to_le_bytes());
+/// Encode `v` as consecutive `N`-byte little-endian elements, filling
+/// one pre-sized buffer in place.
+fn encode_le<T: Copy, const N: usize>(v: &[T], to_le_bytes: fn(T) -> [u8; N]) -> Bytes {
+    let mut out = vec![0u8; v.len() * N];
+    for (chunk, &x) in out.chunks_exact_mut(N).zip(v) {
+        chunk.copy_from_slice(&to_le_bytes(x));
     }
     Bytes::from(out)
+}
+
+/// Encode a `f64` slice to little-endian bytes.
+pub fn encode_f64s(v: &[f64]) -> Bytes {
+    encode_le(v, f64::to_le_bytes)
 }
 
 /// Decode little-endian bytes to `f64`s. Panics on length mismatch (a
@@ -88,11 +94,7 @@ pub fn decode_f64s(b: &Bytes) -> Vec<f64> {
 
 /// Encode a `f32` slice.
 pub fn encode_f32s(v: &[f32]) -> Bytes {
-    let mut out = Vec::with_capacity(v.len() * 4);
-    for x in v {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-    Bytes::from(out)
+    encode_le(v, f32::to_le_bytes)
 }
 
 /// Decode little-endian bytes to `f32`s.
@@ -103,11 +105,7 @@ pub fn decode_f32s(b: &Bytes) -> Vec<f32> {
 
 /// Encode a `u64` slice.
 pub fn encode_u64s(v: &[u64]) -> Bytes {
-    let mut out = Vec::with_capacity(v.len() * 8);
-    for x in v {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-    Bytes::from(out)
+    encode_le(v, u64::to_le_bytes)
 }
 
 /// Decode little-endian bytes to `u64`s.
@@ -118,11 +116,7 @@ pub fn decode_u64s(b: &Bytes) -> Vec<u64> {
 
 /// Encode an `i64` slice.
 pub fn encode_i64s(v: &[i64]) -> Bytes {
-    let mut out = Vec::with_capacity(v.len() * 8);
-    for x in v {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-    Bytes::from(out)
+    encode_le(v, i64::to_le_bytes)
 }
 
 /// Decode little-endian bytes to `i64`s.
@@ -153,6 +147,43 @@ mod tests {
         assert_eq!(decode_u64s(&encode_u64s(&u)), u);
         let i = vec![0i64, -1, i64::MIN, i64::MAX];
         assert_eq!(decode_i64s(&encode_i64s(&i)), i);
+    }
+
+    /// The per-element append loop `encode_le` replaced.
+    fn append_loop<T: Copy, const N: usize>(v: &[T], to_le_bytes: fn(T) -> [u8; N]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(v.len() * N);
+        for &x in v {
+            out.extend_from_slice(&to_le_bytes(x));
+        }
+        out
+    }
+
+    #[test]
+    fn encode_bytes_match_the_append_loop() {
+        let specials = [-0.0, f64::NAN, f64::from_bits(0x7ff4_0000_0000_0001), f64::INFINITY];
+        let f64s: Vec<f64> =
+            (0..1000).map(|k| (k as f64 - 500.0) * 1.37e-3).chain(specials).collect();
+        let f32s: Vec<f32> = f64s.iter().map(|&x| x as f32).collect();
+        let u64s: Vec<u64> = f64s.iter().map(|x| x.to_bits()).collect();
+        let i64s: Vec<i64> = u64s.iter().map(|&x| x as i64).collect();
+        for len in [0, 1, 7, f64s.len()] {
+            assert_eq!(
+                &encode_f64s(&f64s[..len])[..],
+                &append_loop(&f64s[..len], f64::to_le_bytes)[..]
+            );
+            assert_eq!(
+                &encode_f32s(&f32s[..len])[..],
+                &append_loop(&f32s[..len], f32::to_le_bytes)[..]
+            );
+            assert_eq!(
+                &encode_u64s(&u64s[..len])[..],
+                &append_loop(&u64s[..len], u64::to_le_bytes)[..]
+            );
+            assert_eq!(
+                &encode_i64s(&i64s[..len])[..],
+                &append_loop(&i64s[..len], i64::to_le_bytes)[..]
+            );
+        }
     }
 
     #[test]

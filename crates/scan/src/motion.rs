@@ -57,7 +57,19 @@ impl RigidTransform {
 
     /// Map a point (about `centre`) through the transform.
     pub fn apply_point(&self, p: (f32, f32, f32), centre: (f32, f32, f32)) -> (f32, f32, f32) {
-        let r = self.rotation_matrix();
+        self.apply_point_with(&self.rotation_matrix(), p, centre)
+    }
+
+    /// [`RigidTransform::apply_point`] with this transform's
+    /// [`RigidTransform::rotation_matrix`] `r` passed in, so a loop over
+    /// many points computes the three `sin_cos` once.
+    #[inline]
+    pub fn apply_point_with(
+        &self,
+        r: &[[f32; 3]; 3],
+        p: (f32, f32, f32),
+        centre: (f32, f32, f32),
+    ) -> (f32, f32, f32) {
         let (px, py, pz) = (p.0 - centre.0, p.1 - centre.1, p.2 - centre.2);
         (
             r[0][0] * px + r[0][1] * py + r[0][2] * pz + centre.0 + self.tx,
@@ -88,11 +100,13 @@ impl RigidTransform {
     pub fn resample(&self, vol: &Volume) -> Volume {
         let dims = vol.dims;
         let centre = dims.centre();
+        let r = self.rotation_matrix();
         let mut out = Volume::zeros(dims);
         for z in 0..dims.nz {
             for y in 0..dims.ny {
                 for x in 0..dims.nx {
-                    let (sx, sy, sz) = self.apply_point((x as f32, y as f32, z as f32), centre);
+                    let (sx, sy, sz) =
+                        self.apply_point_with(&r, (x as f32, y as f32, z as f32), centre);
                     out.data[dims.index(x, y, z)] = vol.sample(sx, sy, sz);
                 }
             }
@@ -196,6 +210,23 @@ mod tests {
         }
         let rms = (err / count as f32).sqrt();
         assert!(rms < 0.03, "roundtrip rms {rms}");
+    }
+
+    #[test]
+    fn resample_matches_per_voxel_apply_point_bit_for_bit() {
+        let v = blob_volume();
+        let d = v.dims;
+        let t = RigidTransform { rx: 0.03, ry: -0.02, rz: 0.015, tx: 0.7, ty: -0.4, tz: 0.25 };
+        let out = t.resample(&v);
+        for z in 0..d.nz {
+            for y in 0..d.ny {
+                for x in 0..d.nx {
+                    let (sx, sy, sz) = t.apply_point((x as f32, y as f32, z as f32), d.centre());
+                    let want = v.sample(sx, sy, sz);
+                    assert_eq!(out.at(x, y, z).to_bits(), want.to_bits(), "voxel {:?}", (x, y, z));
+                }
+            }
+        }
     }
 
     #[test]
