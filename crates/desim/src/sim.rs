@@ -145,7 +145,7 @@ impl Simulator {
     pub fn component<C: Component>(&self, id: ComponentId) -> &C {
         let c = self.components[id.0]
             .as_deref()
-            .unwrap_or_else(|| panic!("component {:?} is currently dispatched", id));
+            .unwrap_or_else(|| panic!("component {:?} has an empty slot", id));
         (c as &dyn Any)
             .downcast_ref::<C>()
             .unwrap_or_else(|| panic!("component {:?} is not a {}", id, std::any::type_name::<C>()))
@@ -155,7 +155,7 @@ impl Simulator {
     pub fn component_mut<C: Component>(&mut self, id: ComponentId) -> &mut C {
         let c = self.components[id.0]
             .as_deref_mut()
-            .unwrap_or_else(|| panic!("component {:?} is currently dispatched", id));
+            .unwrap_or_else(|| panic!("component {:?} has an empty slot", id));
         (c as &mut dyn Any)
             .downcast_mut::<C>()
             .unwrap_or_else(|| panic!("component {:?} is not a {}", id, std::any::type_name::<C>()))
@@ -215,15 +215,16 @@ impl Simulator {
         self.processed += 1;
         match ev.payload {
             Event::Deliver { target, msg } => {
-                // Take the component out of its slot so it can receive a
-                // `Ctx` borrowing the queue without aliasing.
                 self.dispatch_counts[target.0] += 1;
-                let mut comp = self.components[target.0]
-                    .take()
-                    .unwrap_or_else(|| panic!("re-entrant dispatch to {:?}", target));
                 if let Some(tr) = self.tracer.as_deref_mut() {
                     tr.on_dispatch(self.now, target, &self.names[target.0]);
                 }
+                // The component slot, the queue and the send counters are
+                // disjoint fields, so the component can be borrowed in
+                // place while its `Ctx` borrows the queue.
+                let comp = self.components[target.0]
+                    .as_deref_mut()
+                    .unwrap_or_else(|| panic!("dispatch to unowned {target:?}"));
                 let mut ctx = Ctx {
                     now: self.now,
                     self_id: target,
@@ -233,7 +234,6 @@ impl Simulator {
                     tracer: self.tracer.as_deref_mut(),
                 };
                 comp.handle(&mut ctx, msg);
-                self.components[target.0] = Some(comp);
             }
             Event::Call(f) => {
                 if let Some(tr) = self.tracer.as_deref_mut() {
@@ -386,6 +386,48 @@ mod tests {
         // Resume to completion.
         assert_eq!(sim.run(), RunResult::Drained);
         assert_eq!(sim.component::<Counter>(id).ticks, 100);
+    }
+
+    /// Logs every delivered tag with its delivery time.
+    #[derive(Default)]
+    struct Recorder {
+        seen: Vec<(u64, &'static str)>,
+    }
+
+    impl Component for Recorder {
+        fn handle(&mut self, ctx: &mut Ctx<'_>, m: Msg) {
+            self.seen.push((ctx.now().as_nanos(), *downcast::<&'static str>(m)));
+        }
+    }
+
+    #[test]
+    fn events_scheduled_after_a_horizon_stop_fire_before_later_pending_ones() {
+        let mut sim = Simulator::new();
+        let id = sim.add_component(Recorder::default());
+        sim.send_at(SimTime::from_nanos(1_000), id, msg("first"));
+        sim.send_at(SimTime::from_nanos(1 << 40), id, msg("late"));
+        assert_eq!(sim.run_until(SimTime::from_nanos(4_000)), RunResult::HorizonReached);
+        assert_eq!(sim.now(), SimTime::from_nanos(1_000));
+        // Peeking at the pending 2^40 ns event must not have moved the
+        // queue past the gap the caller now schedules into.
+        sim.send_at(SimTime::from_nanos(6_000), id, msg("sent"));
+        sim.call_at(SimTime::from_nanos(5_000), move |s| {
+            let now = s.now().as_nanos();
+            s.component_mut::<Recorder>(id).seen.push((now, "called"));
+        });
+        sim.send_at(SimTime::from_nanos(1_000), id, msg("now"));
+        assert_eq!(sim.run_until(SimTime::from_nanos(999)), RunResult::HorizonReached);
+        assert_eq!(sim.run(), RunResult::Drained);
+        assert_eq!(
+            sim.component::<Recorder>(id).seen,
+            vec![
+                (1_000, "first"),
+                (1_000, "now"),
+                (5_000, "called"),
+                (6_000, "sent"),
+                (1 << 40, "late")
+            ]
+        );
     }
 
     #[test]

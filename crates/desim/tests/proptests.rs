@@ -2,8 +2,13 @@
 
 use gtw_desim::fault::{FaultInjector, FaultPlan, FaultSpec, LossModel, Schedule, Window};
 use gtw_desim::hist::SUB_BUCKETS;
-use gtw_desim::{EventQueue, Histogram, MetricsRegistry, SimDuration, SimTime, Simulator};
+use gtw_desim::queue::{EventKey, EXTERNAL_SRC};
+use gtw_desim::{
+    EventQueue, Histogram, MetricsRegistry, QueuedEvent, SimDuration, SimTime, Simulator,
+};
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -379,5 +384,144 @@ proptest! {
         prop_assert_eq!(a.value("n"), Some(fa + fb), "counters add on merge");
         let hwm = seg_a.iter().chain(&seg_b).map(|&(_, by)| by).max().unwrap_or(0);
         prop_assert_eq!(a.hwm("depth"), Some(hwm), "gauge hwm is the max over both segments");
+    }
+}
+
+/// Where a generated push lands relative to the last popped instant.
+#[derive(Debug, Clone)]
+enum At {
+    /// Exactly the last popped instant.
+    Now,
+    /// A few ns later: the low levels and same-bucket collisions.
+    Near(u64),
+    /// Up to ~18 min later: the middle levels.
+    Far(u64),
+    /// Near the top of the `u64` range: the highest levels.
+    High(u64),
+    /// Before the last popped instant: the re-filing path.
+    Below(u64),
+}
+
+impl At {
+    fn resolve(&self, floor: u64) -> u64 {
+        match *self {
+            At::Now => floor,
+            At::Near(d) => floor.saturating_add(d),
+            At::Far(d) => floor.saturating_add(d),
+            At::High(x) => (1 << 63) | x,
+            At::Below(d) => floor.saturating_sub(d),
+        }
+    }
+}
+
+#[derive(Debug, Clone)]
+enum QueueOp {
+    Push(At),
+    PushKeyed(At, u64),
+    PeekTime,
+    Pop,
+    PopBefore(At),
+    Drain,
+}
+
+/// Decode a drawn `(selector, value)` pair into a push position, weighted
+/// towards the instants the kernel produces.
+fn at_of(sel: u32, x: u64) -> At {
+    match sel {
+        0..=2 => At::Now,
+        3..=8 => At::Near(x % 200),
+        9..=11 => At::Far(x % (1 << 40)),
+        12 => At::High(x >> 2),
+        _ => At::Below(1 + x % 5_000),
+    }
+}
+
+/// A weighted random queue operation; source 8 stands for
+/// [`EXTERNAL_SRC`].
+fn arb_queue_op() -> impl Strategy<Value = QueueOp> {
+    (0u32..21, 0u32..14, any::<u64>(), 0u64..9).prop_map(|(kind, sel, x, src)| {
+        let at = at_of(sel, x);
+        match kind {
+            0..=3 => QueueOp::Push(at),
+            4..=9 => QueueOp::PushKeyed(at, if src == 8 { EXTERNAL_SRC } else { src }),
+            10..=11 => QueueOp::PeekTime,
+            12..=17 => QueueOp::Pop,
+            18..=19 => QueueOp::PopBefore(at),
+            _ => QueueOp::Drain,
+        }
+    })
+}
+
+type Entry = (EventKey, usize);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+    /// Any interleaving of queue operations pops exactly what a
+    /// `BinaryHeap` over the full `EventKey` order pops: same-instant
+    /// keys from many sources (external FIFO included), times with the
+    /// high bits set, and pushes below the last popped instant.
+    #[test]
+    fn queue_matches_binary_heap_reference(
+        ops in proptest::collection::vec(arb_queue_op(), 1..400),
+    ) {
+        let mut q: EventQueue<usize> = EventQueue::new();
+        let mut model: BinaryHeap<Reverse<Entry>> = BinaryHeap::new();
+        let mut fifo = 0u64;
+        let mut floor = 0u64;
+        let popped = |ev: Option<QueuedEvent<usize>>| {
+            ev.map(|e| (EventKey { time: e.time, src: e.src, seq: e.seq }, e.payload))
+        };
+        for (i, op) in ops.iter().enumerate() {
+            match op {
+                QueueOp::Push(at) => {
+                    let time = SimTime::from_nanos(at.resolve(floor));
+                    prop_assert_eq!(q.push(time, i), fifo);
+                    model.push(Reverse((EventKey { time, src: EXTERNAL_SRC, seq: fifo }, i)));
+                    fifo += 1;
+                }
+                QueueOp::PushKeyed(at, src) => {
+                    // Keyed seqs sit above every FIFO seq, so keys stay unique.
+                    let key = EventKey {
+                        time: SimTime::from_nanos(at.resolve(floor)),
+                        src: *src,
+                        seq: 1 << 32 | i as u64,
+                    };
+                    q.push_keyed(key, i);
+                    model.push(Reverse((key, i)));
+                }
+                QueueOp::PeekTime => {
+                    prop_assert_eq!(q.peek_time(), model.peek().map(|r| r.0 .0.time));
+                }
+                QueueOp::Pop => {
+                    let got = popped(q.pop());
+                    prop_assert_eq!(got, model.pop().map(|r| r.0));
+                    if let Some((k, _)) = got {
+                        floor = k.time.as_nanos();
+                    }
+                }
+                QueueOp::PopBefore(at) => {
+                    let horizon = SimTime::from_nanos(at.resolve(floor));
+                    let got = popped(q.pop_before(horizon));
+                    let want = match model.peek() {
+                        Some(r) if r.0 .0.time < horizon => model.pop().map(|r| r.0),
+                        _ => None,
+                    };
+                    prop_assert_eq!(got, want);
+                    if let Some((k, _)) = got {
+                        floor = k.time.as_nanos();
+                    }
+                }
+                QueueOp::Drain => {
+                    let mut want: Vec<Entry> = model.drain().map(|r| r.0).collect();
+                    want.sort_unstable();
+                    prop_assert_eq!(q.drain_entries(), want);
+                }
+            }
+            prop_assert_eq!(q.len(), model.len());
+        }
+        while let Some(want) = model.pop() {
+            prop_assert_eq!(popped(q.pop()), Some(want.0));
+        }
+        prop_assert!(q.pop().is_none() && q.is_empty());
     }
 }

@@ -140,7 +140,8 @@ pub struct PipeStage {
     /// Fault injector judging every arriving packet; `None` (free) by
     /// default.
     pub injector: Option<FaultInjector>,
-    queue: std::collections::VecDeque<Packet>,
+    /// Accepted packets in their received boxes, forwarded as-is.
+    queue: std::collections::VecDeque<Box<Arrive>>,
     backlog_bytes: u64,
     transmitting: bool,
     label: String,
@@ -191,7 +192,7 @@ impl PipeStage {
     }
 
     fn start_tx(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(pkt) = self.queue.front() else {
+        let Some(Arrive(pkt)) = self.queue.front().map(Box::as_ref) else {
             self.transmitting = false;
             return;
         };
@@ -213,46 +214,52 @@ impl PipeStage {
 
 impl Component for PipeStage {
     fn handle(&mut self, ctx: &mut Ctx<'_>, m: Msg) {
-        if m.is::<Arrive>() {
-            let Arrive(pkt) = *gtw_desim::component::downcast::<Arrive>(m);
-            if let Some(inj) = self.injector.as_mut() {
-                if let Some(cause) = inj.judge(ctx.now()) {
-                    match cause {
-                        FaultCause::Outage => self.stats.dropped_outage += 1,
-                        FaultCause::Burst => self.stats.dropped_burst += 1,
-                        // At packet granularity a corrupted header is
-                        // indistinguishable from loss.
-                        FaultCause::Loss | FaultCause::HeaderError => self.stats.dropped_loss += 1,
+        match m.downcast::<Arrive>() {
+            Ok(arrive) => {
+                if let Some(inj) = self.injector.as_mut() {
+                    if let Some(cause) = inj.judge(ctx.now()) {
+                        match cause {
+                            FaultCause::Outage => self.stats.dropped_outage += 1,
+                            FaultCause::Burst => self.stats.dropped_burst += 1,
+                            // At packet granularity a corrupted header is
+                            // indistinguishable from loss.
+                            FaultCause::Loss | FaultCause::HeaderError => {
+                                self.stats.dropped_loss += 1
+                            }
+                        }
+                        return;
                     }
+                }
+                let sz = arrive.0.ip_bytes.bytes();
+                if self.backlog_bytes + sz > self.effective_buffer_bytes(ctx.now()) {
+                    self.stats.packets_dropped += 1;
                     return;
                 }
+                self.stats.packets_in += 1;
+                self.backlog_bytes += sz;
+                self.stats.max_backlog_bytes = self.stats.max_backlog_bytes.max(self.backlog_bytes);
+                self.queue.push_back(arrive);
+                if !self.transmitting {
+                    self.start_tx(ctx);
+                }
             }
-            let sz = pkt.ip_bytes.bytes();
-            if self.backlog_bytes + sz > self.effective_buffer_bytes(ctx.now()) {
-                self.stats.packets_dropped += 1;
-                return;
-            }
-            self.stats.packets_in += 1;
-            self.backlog_bytes += sz;
-            self.stats.max_backlog_bytes = self.stats.max_backlog_bytes.max(self.backlog_bytes);
-            self.queue.push_back(pkt);
-            if !self.transmitting {
+            Err(m) => {
+                let _ = gtw_desim::component::downcast::<TxDone>(m);
+                let arrive = self.queue.pop_front().expect("TxDone with empty queue");
+                let pkt = &arrive.0;
+                self.backlog_bytes -= pkt.ip_bytes.bytes();
+                self.stats.packets_out += 1;
+                self.stats.bytes_out += pkt.payload.bytes();
+                if self.spans.enabled() && self.config.propagation > SimDuration::ZERO {
+                    // The segment is in flight towards the next hop.
+                    let end = ctx.now() + self.config.propagation;
+                    self.spans.record(&self.label, "flight", ctx.now(), end);
+                }
+                // Forward the received box itself: no re-allocation.
+                let next = self.next;
+                ctx.send_in(self.config.propagation, next, arrive);
                 self.start_tx(ctx);
             }
-        } else {
-            let _ = gtw_desim::component::downcast::<TxDone>(m);
-            let pkt = self.queue.pop_front().expect("TxDone with empty queue");
-            self.backlog_bytes -= pkt.ip_bytes.bytes();
-            self.stats.packets_out += 1;
-            self.stats.bytes_out += pkt.payload.bytes();
-            if self.spans.enabled() && self.config.propagation > SimDuration::ZERO {
-                // The segment is in flight towards the next hop.
-                let end = ctx.now() + self.config.propagation;
-                self.spans.record(&self.label, "flight", ctx.now(), end);
-            }
-            let next = self.next;
-            ctx.send_in(self.config.propagation, next, gtw_desim::component::msg(Arrive(pkt)));
-            self.start_tx(ctx);
         }
     }
 

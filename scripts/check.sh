@@ -116,3 +116,14 @@ cargo run --release -q -p gtw-core --example run_report > "$trace_tmp/clean.json
 # (it rides --control-faults); the clean run must not grow it either.
 GTW_CONTROL_SEED=1999 timeout 300 cargo test -q -p gtw-core --test multi_domain
 ! grep -q multi_domain "$trace_tmp/clean.json"
+
+# Benchmark gate: perfbench is its own package outside the workspace, so
+# `cargo test` above never runs its smoke suite; run it here. Then the
+# kernel-driven workloads' deterministic digests (default seed, full
+# scale) must match the committed golden files byte for byte: a kernel,
+# network or control-plane change that alters any report fails here.
+cargo test -q --manifest-path perfbench/Cargo.toml
+for w in wan_bulk control_storm; do
+  cargo run --release -q --manifest-path perfbench/Cargo.toml -- --workload "$w" --digest > "$trace_tmp/$w.digest.json"
+  cmp "$trace_tmp/$w.digest.json" "tests/golden/$w.digest.json"
+done
